@@ -7,11 +7,14 @@
 //! `NaiveServerCluster`) run the identical operation sequence next to
 //! their indexed replacements, so one bench run quantifies the speedup
 //! — and `bench_check` enforces it from the `UDC_BENCH_JSON` export.
+//! `sched/place_medical_warm` and `sched/place_medical_6400` are the
+//! same warm placement at 100 and 6,400 devices, so their ratio is the
+//! placement path's dependence on fleet size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use udc_economics::{demand_of_app, PlanSpec, QuotaGate};
-use udc_extvm::{assemble, NullHost, Vm, VmLimits};
+use udc_extvm::{assemble, NullHost, Vm, VmLimits, BEST_FIT};
 use udc_hal::linear::LinearPool;
 use udc_hal::pool::AllocConstraints;
 use udc_hal::{Datacenter, DatacenterConfig, Device, DeviceId, ResourcePool};
@@ -219,19 +222,21 @@ fn bench_binpack(c: &mut Criterion) {
     group.finish();
 }
 
-/// End-to-end `place_app` against a datacenter 16x the default device
-/// count, placing and releasing in a loop — the shape that benefits
-/// from the scheduler's candidate cache (allocate/release does not
-/// invalidate it).
-fn bench_place_big_dc(c: &mut Criterion) {
+/// The default datacenter with every pool's device count multiplied
+/// by `scale` (the rack count stays the same).
+fn scaled_dc(scale: usize) -> Datacenter {
     let mut cfg = DatacenterConfig::default();
     for pool in &mut cfg.pools {
-        pool.devices *= 16;
+        pool.devices *= scale;
     }
-    let mut dc = Datacenter::new(cfg);
-    let mut sched = Scheduler::new(SchedOptions::default());
+    Datacenter::new(cfg)
+}
+
+/// Places and releases `app` on a long-lived datacenter and scheduler,
+/// so setup stays out of the timed loop.
+fn bench_warm_place(c: &mut Criterion, name: &str, mut dc: Datacenter, mut sched: Scheduler) {
     let medical = medical_pipeline();
-    c.bench_function("sched/place_medical_big_dc", |b| {
+    c.bench_function(name, |b| {
         b.iter(|| {
             let p = sched.place_app(&mut dc, black_box(&medical)).unwrap();
             for m in p.modules.values() {
@@ -243,6 +248,31 @@ fn bench_place_big_dc(c: &mut Criterion) {
     });
 }
 
+/// End-to-end `place_app` against a datacenter 16x the default device
+/// count, placing and releasing in a loop. The scheduler ranks one
+/// device per `(free, rack, capacity)` class, so this should cost about
+/// what the same placement costs on the default datacenter.
+fn bench_place_big_dc(c: &mut Criterion) {
+    let sched = Scheduler::new(SchedOptions::default());
+    bench_warm_place(c, "sched/place_medical_big_dc", scaled_dc(16), sched);
+}
+
+/// Warm placement under the compiled best-fit tenant policy at 100 and
+/// 6,400 devices. `bench_check` caps the ratio at 1.5x.
+fn bench_place_scaling(c: &mut Criterion) {
+    for (name, scale) in [
+        ("sched/place_medical_warm", 1),
+        ("sched/place_medical_6400", 64),
+    ] {
+        let policy = ExtVmPolicy::new("best-fit", assemble(BEST_FIT).unwrap(), VmLimits::default());
+        let sched = Scheduler::new(SchedOptions {
+            policy: Box::new(policy),
+            ..Default::default()
+        });
+        bench_warm_place(c, name, scaled_dc(scale), sched);
+    }
+}
+
 criterion_group!(
     benches,
     bench_placement,
@@ -250,6 +280,7 @@ criterion_group!(
     bench_allocation,
     bench_pool_churn,
     bench_binpack,
-    bench_place_big_dc
+    bench_place_big_dc,
+    bench_place_scaling
 );
 criterion_main!(benches);

@@ -33,8 +33,8 @@ use serde::{de, ser, Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Bound::{Excluded, Unbounded};
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
 use udc_spec::ResourceKind;
 
 /// A slice of one device held by an allocation.
@@ -199,6 +199,9 @@ impl DevMeta {
 /// - *sole\[t\]* / *excl\[t\]*: devices occupied by exactly tenant `t`
 ///   (without / with the exclusive flag) — the tenant-private candidate
 ///   sets for exclusive and spill allocation.
+/// - *classes*: the general partition again, grouped by
+///   `(free, rack, capacity)` — everything a placement policy sees of a
+///   device but its id, so the scheduler scores one device per class.
 ///
 /// Failed devices appear in no partition.
 #[derive(Debug, Clone, Default)]
@@ -211,6 +214,9 @@ struct PoolIndex {
     rack_vacant_asc: BTreeMap<u32, BTreeSet<(u64, DeviceId)>>,
     sole: BTreeMap<String, BTreeSet<DeviceId>>,
     excl: BTreeMap<String, BTreeSet<DeviceId>>,
+    /// The general partition keyed `(free, rack, capacity, id)`: one
+    /// contiguous run per class, ids ascending within it.
+    classes: BTreeSet<(u64, u32, u64, DeviceId)>,
     /// Sum of free units across the general partition.
     general_free: u64,
     /// Capacity / used sums over healthy devices (`total_capacity`,
@@ -241,6 +247,7 @@ impl PoolIndex {
                     .or_default()
                     .insert((Reverse(free), id));
                 self.general_free += free;
+                self.classes.insert((free, m.rack, m.capacity, id));
                 if m.vacant() {
                     self.vacant_asc.insert((m.capacity, id));
                     self.rack_vacant_asc
@@ -280,6 +287,7 @@ impl PoolIndex {
                     set.remove(&(Reverse(free), id));
                 }
                 self.general_free -= free;
+                self.classes.remove(&(free, m.rack, m.capacity, id));
                 if m.vacant() {
                     self.vacant_asc.remove(&(m.capacity, id));
                     if let Some(set) = self.rack_vacant_asc.get_mut(&m.rack) {
@@ -298,35 +306,12 @@ impl PoolIndex {
     }
 }
 
-static NEXT_POOL_INSTANCE: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_instance() -> u64 {
-    NEXT_POOL_INSTANCE.fetch_add(1, Ordering::Relaxed)
-}
-
 /// A pool of devices of one resource kind.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ResourcePool {
     kind: ResourceKind,
     devices: BTreeMap<DeviceId, Device>,
     index: PoolIndex,
-    instance: u64,
-    version: u64,
-}
-
-impl Clone for ResourcePool {
-    fn clone(&self) -> Self {
-        // A clone diverges independently, so it gets its own identity:
-        // stamps must never collide between pools with different
-        // contents (the scheduler's candidate cache keys on them).
-        Self {
-            kind: self.kind,
-            devices: self.devices.clone(),
-            index: self.index.clone(),
-            instance: fresh_instance(),
-            version: 0,
-        }
-    }
 }
 
 impl ResourcePool {
@@ -336,8 +321,6 @@ impl ResourcePool {
             kind,
             devices: BTreeMap::new(),
             index: PoolIndex::default(),
-            instance: fresh_instance(),
-            version: 0,
         }
     }
 
@@ -356,16 +339,6 @@ impl ResourcePool {
     /// The pool's resource kind.
     pub fn kind(&self) -> ResourceKind {
         self.kind
-    }
-
-    /// An identity stamp `(instance, version)` for cache invalidation:
-    /// `instance` is unique per pool object, `version` bumps whenever
-    /// the device *set* or device-level facts (capacity, rack, state)
-    /// may have changed. Plain allocate/release traffic does not bump
-    /// the version — only free units change, which cache holders are
-    /// expected to refresh themselves.
-    pub fn stamp(&self) -> (u64, u64) {
-        (self.instance, self.version)
     }
 
     /// Re-derives the index entries for one device after it changed.
@@ -399,7 +372,6 @@ impl ResourcePool {
         let prev = self.devices.insert(id, device);
         assert!(prev.is_none(), "duplicate device id in pool");
         self.reindex_device(id);
-        self.version += 1;
     }
 
     /// Number of devices (any state).
@@ -449,6 +421,40 @@ impl ResourcePool {
         };
         excl.chain(sole.into_iter().flatten())
             .map(|id| &self.devices[id])
+    }
+
+    /// Healthy devices no tenant holds exclusively, grouped into
+    /// `(free, rack, capacity)` classes with at least `min_free` free
+    /// units, ascending by that key; each class yields its device ids in
+    /// ascending order. Every tenant sees the same free units on these
+    /// devices, so a ranking that ignores the id need only look at each
+    /// class's first id. The class count is bounded by the pool's racks
+    /// and capacities, not by its device count.
+    pub fn fit_classes(
+        &self,
+        min_free: u64,
+    ) -> impl Iterator<Item = ((u64, u32, u64), impl Iterator<Item = DeviceId> + '_)> {
+        let classes = &self.index.classes;
+        // One seek per class: the next class starts after the largest id
+        // the current one could hold.
+        let heads = std::iter::successors(
+            classes.range((min_free, 0, 0, DeviceId(0))..).next(),
+            |&&(f, r, c, _)| {
+                let end = (f, r, c, DeviceId(u32::MAX));
+                classes.range((Excluded(end), Unbounded)).next()
+            },
+        );
+        heads.map(|&(f, r, c, first)| {
+            let ids = classes.range((f, r, c, first)..=(f, r, c, DeviceId(u32::MAX)));
+            ((f, r, c), ids.map(|&(.., id)| id))
+        })
+    }
+
+    /// Healthy devices `tenant` holds exclusively: besides
+    /// [`ResourcePool::fit_classes`], the only devices with free units
+    /// for it. Bounded by the tenant's own footprint.
+    pub fn held_by<'a>(&'a self, tenant: &str) -> impl Iterator<Item = &'a Device> + 'a {
+        self.tenant_devices(tenant, false)
     }
 
     /// Units free for `tenant` under `constraints`.
@@ -908,9 +914,6 @@ impl DerefMut for DeviceMut<'_> {
 impl Drop for DeviceMut<'_> {
     fn drop(&mut self) {
         self.pool.reindex_device(self.id);
-        // Guard mutations may change capacity/rack/state, which cached
-        // candidate lists depend on.
-        self.pool.version += 1;
     }
 }
 
@@ -1189,21 +1192,6 @@ mod tests {
         assert_eq!(p.total_capacity(), 32);
         let a = p.allocate("t", 32, &AllocConstraints::default()).unwrap();
         assert_eq!(a.total_units(), 32);
-    }
-
-    #[test]
-    fn stamp_tracks_structural_changes() {
-        let mut p = pool(&[8]);
-        let s0 = p.stamp();
-        p.allocate("t", 4, &AllocConstraints::default()).unwrap();
-        assert_eq!(p.stamp(), s0, "allocations do not bump the version");
-        p.add_device(Device::new(DeviceId(9), ResourceKind::Cpu, 8, 0));
-        assert_ne!(p.stamp(), s0, "adding a device bumps the version");
-        let s1 = p.stamp();
-        p.device_mut(DeviceId(9)).unwrap().fail();
-        assert_ne!(p.stamp(), s1, "guard mutations bump the version");
-        let q = p.clone();
-        assert_ne!(q.stamp().0, p.stamp().0, "clones get their own identity");
     }
 
     #[test]

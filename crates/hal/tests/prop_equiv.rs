@@ -5,12 +5,15 @@
 //! play. At every step they must return the *same* results — identical
 //! slices, identical errors, identical `available_for` answers, and
 //! identical accounting — so the index is a pure speedup, never a
-//! behavior change.
+//! behavior change. The `(free, rack, capacity)` classes the scheduler
+//! ranks must likewise equal a from-scratch grouping of the seed's
+//! devices after every step.
 
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use udc_hal::linear::LinearPool;
 use udc_hal::pool::AllocConstraints;
-use udc_hal::{Device, DeviceId, ResourcePool};
+use udc_hal::{Device, DeviceId, DeviceState, ResourcePool};
 use udc_spec::ResourceKind;
 
 const DEVICES: u32 = 12;
@@ -18,6 +21,8 @@ const TENANTS: [&str; 3] = ["acme", "globex", "initech"];
 
 /// Builds the identical device set in both implementations: varied
 /// capacities so the worst-fit order is nontrivial, spread over racks.
+/// Devices `i` and `i + 6` share capacity and rack, so classes hold
+/// more than one device and free-unit ties need the id tie-break.
 fn twin_pools() -> (LinearPool, ResourcePool) {
     let mut linear = LinearPool::new(ResourceKind::Cpu);
     let mut indexed = ResourcePool::new(ResourceKind::Cpu);
@@ -25,7 +30,7 @@ fn twin_pools() -> (LinearPool, ResourcePool) {
         let d = Device::new(
             DeviceId(i),
             ResourceKind::Cpu,
-            4 + (i as u64 * 7) % 17,
+            4 + (i as u64 % 6) * 3,
             i % 3,
         );
         linear.add_device(d.clone());
@@ -44,6 +49,24 @@ enum Op {
     },
     ReleaseOldest,
     ToggleDevice(DeviceId),
+}
+
+type Classes = BTreeMap<(u64, u32, u64), BTreeSet<DeviceId>>;
+
+/// The classes with at least `min_free` free units, regrouped from the
+/// seed pool's devices: healthy and not held exclusively.
+fn oracle_classes(linear: &LinearPool, min_free: u64) -> Classes {
+    let mut classes = Classes::new();
+    for d in linear.devices() {
+        let free = d.capacity - d.used();
+        if d.state == DeviceState::Healthy && !d.is_exclusive() && free >= min_free {
+            classes
+                .entry((free, d.rack, d.capacity))
+                .or_default()
+                .insert(d.id);
+        }
+    }
+    classes
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -141,6 +164,13 @@ proptest! {
             prop_assert_eq!(linear.total_capacity(), indexed.total_capacity());
             prop_assert_eq!(linear.total_used(), indexed.total_used());
             prop_assert_eq!(linear.utilization(), indexed.utilization());
+            for min_free in [0, 1, units] {
+                let classes: Classes = indexed
+                    .fit_classes(min_free)
+                    .map(|(k, ids)| (k, ids.collect()))
+                    .collect();
+                prop_assert_eq!(classes, oracle_classes(&linear, min_free), "classes diverged");
+            }
         }
         // Draining everything leaves both pristine.
         for alloc in &held {

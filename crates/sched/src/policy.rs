@@ -6,7 +6,7 @@
 //! definition safely).
 
 use udc_extvm::{CompiledProgram, Host, Program, Vm, VmLimits};
-use udc_hal::{Datacenter, DeviceId};
+use udc_hal::{Datacenter, Device, DeviceId, ResourcePool};
 
 /// Execution counters drained from a policy after a placement pass, so
 /// the scheduler can surface `extvm.*` telemetry without knowing the
@@ -46,10 +46,36 @@ pub struct PolicyCtx {
     pub demand: u64,
 }
 
+impl PolicyCtx {
+    /// The context for placing `demand` units for `tenant` on `d`.
+    pub(crate) fn for_device(
+        d: &Device,
+        tenant: &str,
+        demand: u64,
+        preferred_rack: Option<u32>,
+    ) -> Self {
+        PolicyCtx {
+            device: d.id,
+            free_units: d.free_for(tenant),
+            capacity: d.capacity,
+            rack: d.rack,
+            preferred_rack: preferred_rack.unwrap_or(u32::MAX),
+            demand,
+        }
+    }
+}
+
 /// Ranks candidate devices; higher scores win. Returning `None` vetoes
 /// the candidate.
 pub trait PlacementPolicy {
     /// Scores a candidate.
+    ///
+    /// Contract: the result is a pure function of every `ctx` field
+    /// except `device`. Devices that agree on the other fields are
+    /// interchangeable, so the scheduler calls this once per
+    /// `(free, rack, capacity)` class rather than once per device (see
+    /// [`best_candidate`]), and only for candidates with
+    /// `free_units >= demand`.
     fn score(&mut self, ctx: &PolicyCtx) -> Option<i64>;
 
     /// Human-readable name (for experiment output).
@@ -102,9 +128,11 @@ pub struct ExtVmPolicy {
     compiled: Option<CompiledProgram>,
     vm: Vm,
     name: String,
-    /// Traps observed (telemetry for experiment E14).
+    /// Traps observed (telemetry for experiment E14). Counts
+    /// invocations, and the scheduler invokes once per device class,
+    /// not once per device.
     pub traps: u64,
-    /// Total gas consumed across invocations.
+    /// Total gas consumed across invocations (likewise per class).
     pub gas_used: u64,
     /// Fusion count not yet drained through [`ExecStats`].
     fused_pending: u64,
@@ -213,7 +241,9 @@ impl PlacementPolicy for ExtVmPolicy {
     }
 }
 
-/// Builds the [`PolicyCtx`] list for a demand on one resource pool.
+/// Builds the [`PolicyCtx`] list for a demand on one resource pool:
+/// every device, in id order. [`best_candidate`] is the scheduler's
+/// equivalent that scores one device per class instead.
 pub fn candidates_for(
     dc: &Datacenter,
     kind: udc_spec::ResourceKind,
@@ -225,15 +255,57 @@ pub fn candidates_for(
         return Vec::new();
     };
     pool.devices()
-        .map(|d| PolicyCtx {
-            device: d.id,
-            free_units: d.free_for(tenant),
-            capacity: d.capacity,
-            rack: d.rack,
-            preferred_rack: preferred_rack.unwrap_or(u32::MAX),
-            demand,
-        })
+        .map(|d| PolicyCtx::for_device(d, tenant, demand, preferred_rack))
         .collect()
+}
+
+/// The policy's pick for `demand` units (at least 1) on `pool`: the
+/// highest `(score, device)` with ties to the lowest device id, among
+/// devices with `demand` units free for `tenant` that are not in
+/// `exclude`. `None` when the policy vetoes them all.
+///
+/// Only the lowest non-excluded id of each
+/// [`ResourcePool::fit_classes`] class can win the tie-break, so under
+/// the [`PlacementPolicy::score`] contract it is the only one scored;
+/// the tenant's exclusively held devices are scored one by one. The
+/// cost grows with the number of distinct classes, not with the
+/// number of devices.
+pub fn best_candidate(
+    policy: &mut dyn PlacementPolicy,
+    pool: &ResourcePool,
+    tenant: &str,
+    demand: u64,
+    preferred_rack: Option<u32>,
+    exclude: &[DeviceId],
+) -> Option<(i64, DeviceId)> {
+    debug_assert!(demand > 0, "a zero demand fits failed devices too");
+    let mut best: Option<(i64, DeviceId)> = None;
+    let mut consider = |ctx: PolicyCtx| {
+        if let Some(score) = policy.score(&ctx) {
+            if best.is_none_or(|(s, d)| score > s || (score == s && ctx.device < d)) {
+                best = Some((score, ctx.device));
+            }
+        }
+    };
+    for ((free_units, rack, capacity), mut ids) in pool.fit_classes(demand) {
+        if let Some(device) = ids.find(|id| !exclude.contains(id)) {
+            consider(PolicyCtx {
+                device,
+                free_units,
+                capacity,
+                rack,
+                preferred_rack: preferred_rack.unwrap_or(u32::MAX),
+                demand,
+            });
+        }
+    }
+    for d in pool.held_by(tenant) {
+        let ctx = PolicyCtx::for_device(d, tenant, demand, preferred_rack);
+        if ctx.free_units >= demand && !exclude.contains(&d.id) {
+            consider(ctx);
+        }
+    }
+    best
 }
 
 #[cfg(test)]

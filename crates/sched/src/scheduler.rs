@@ -1,6 +1,6 @@
 //! Placing an application DAG onto the disaggregated datacenter.
 
-use crate::policy::{LocalityPolicy, PlacementPolicy, PolicyCtx};
+use crate::policy::{best_candidate, LocalityPolicy, PlacementPolicy, PolicyCtx};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -230,22 +230,11 @@ impl Dsu {
     }
 }
 
-/// Cached candidate list for one resource kind, valid while the pool's
-/// identity stamp is unchanged.
-struct CandidateCache {
-    stamp: (u64, u64),
-    ctxs: Vec<PolicyCtx>,
-}
-
 /// The UDC runtime scheduler.
 pub struct Scheduler {
     options: SchedOptions,
     warm_pool: WarmPool,
     obs: Telemetry,
-    /// Per-kind candidate lists reused across `place_app` calls: the
-    /// structural fields (device, capacity, rack) are rebuilt only when
-    /// the pool's stamp changes; free units are refreshed in place.
-    cand_cache: BTreeMap<ResourceKind, CandidateCache>,
 }
 
 impl Scheduler {
@@ -256,53 +245,7 @@ impl Scheduler {
             options,
             warm_pool,
             obs: Telemetry::disabled(),
-            cand_cache: BTreeMap::new(),
         }
-    }
-
-    /// Returns the candidate list for `kind`, reusing the cached
-    /// structure when the pool is unchanged (its stamp only moves on
-    /// device add / guard mutation). Candidates are in device-id order —
-    /// `ResourcePool::devices` iterates its id-keyed map — which is what
-    /// makes placement deterministic and bit-for-bit reproducible at any
-    /// experiment-harness thread count.
-    fn refreshed_candidates<'a>(
-        cache: &'a mut BTreeMap<ResourceKind, CandidateCache>,
-        dc: &Datacenter,
-        kind: ResourceKind,
-        tenant: &str,
-        demand: u64,
-        preferred_rack: Option<u32>,
-    ) -> &'a [PolicyCtx] {
-        let Some(pool) = dc.pool(kind) else {
-            return &[];
-        };
-        let stamp = pool.stamp();
-        let pr = preferred_rack.unwrap_or(u32::MAX);
-        let entry = cache.entry(kind).or_insert_with(|| CandidateCache {
-            stamp: (0, 0),
-            ctxs: Vec::new(),
-        });
-        if entry.stamp == stamp {
-            for (c, d) in entry.ctxs.iter_mut().zip(pool.devices()) {
-                debug_assert_eq!(c.device, d.id, "cached order must match pool order");
-                c.free_units = d.free_for(tenant);
-                c.preferred_rack = pr;
-                c.demand = demand;
-            }
-        } else {
-            entry.stamp = stamp;
-            entry.ctxs.clear();
-            entry.ctxs.extend(pool.devices().map(|d| PolicyCtx {
-                device: d.id,
-                free_units: d.free_for(tenant),
-                capacity: d.capacity,
-                rack: d.rack,
-                preferred_rack: pr,
-                demand,
-            }));
-        }
-        &entry.ctxs
     }
 
     /// Installs the observability hub on the scheduler and its warm
@@ -789,52 +732,45 @@ impl Scheduler {
 
         let env = select_env(&module.exec_env, kind).expect("selection is total");
 
-        // Rank candidates with the placement policy. The list comes
-        // from the per-kind cache in device-id order (see
-        // `refreshed_candidates`); the seed's re-sort per placement is
-        // unnecessary because `candidates_for` already yields that
-        // order, which `candidate_order_is_deterministic` pins down.
-        let cands = Self::refreshed_candidates(
-            &mut self.cand_cache,
-            dc,
-            kind,
-            &self.options.tenant,
-            units,
-            preferred_rack,
-        );
-        let mut best: Option<(i64, DeviceId)> = None;
-        for c in cands {
-            if exclude.contains(&c.device) {
-                continue;
-            }
-            if let Some(score) = self.options.policy.score(c) {
-                if best.is_none_or(|(s, d)| score > s || (score == s && c.device < d)) {
-                    best = Some((score, c.device));
-                }
-            }
-        }
+        // Rank candidates with the placement policy: one device per
+        // `(free, rack, capacity)` class plus the tenant's exclusive
+        // devices, never the whole pool (see `best_candidate`).
+        let tenant = self.options.tenant.as_str();
+        let best = dc.pool(kind).and_then(|pool| {
+            best_candidate(
+                &mut *self.options.policy,
+                pool,
+                tenant,
+                units,
+                preferred_rack,
+                exclude,
+            )
+        });
         if self.obs.is_enabled() {
-            // Audit pass: one decision record per candidate, classifying
-            // why each lost to the winner (crash exclusion, capacity,
-            // locality, policy score). Runs only with an enabled hub —
-            // the scoring loop above stays allocation-free for the
-            // disabled hot path.
-            for c in cands {
+            // Audit pass: one decision record per device in id order,
+            // classifying why each lost to the winner (crash exclusion,
+            // capacity, locality, policy score). Capacity is decided
+            // before the policy is asked, as in `best_candidate`. Runs
+            // only with an enabled hub — the ranking above stays
+            // allocation-free for the disabled hot path.
+            for d in dc.pool(kind).into_iter().flat_map(|p| p.devices()) {
+                let c = PolicyCtx::for_device(d, tenant, units, preferred_rack);
                 let excluded = exclude.contains(&c.device);
-                let score = if excluded {
+                let short = c.free_units < c.demand;
+                let score = if excluded || short {
                     None
                 } else {
-                    self.options.policy.score(c)
+                    self.options.policy.score(&c)
                 };
                 let accepted = score.is_some() && best.map(|(_, d)| d) == Some(c.device);
                 let reason = if accepted {
                     ReasonCode::Accepted
                 } else if excluded {
                     ReasonCode::CrashExcluded
+                } else if short {
+                    ReasonCode::Capacity
                 } else if score.is_none() {
                     ReasonCode::Policy
-                } else if c.free_units < c.demand {
-                    ReasonCode::Capacity
                 } else if preferred_rack.is_some_and(|r| r != c.rack) {
                     ReasonCode::Locality
                 } else {
@@ -1650,37 +1586,63 @@ mod resize_tests {
     }
 
     #[test]
-    fn candidate_order_is_deterministic() {
-        // Placement is only reproducible bit-for-bit (including across
-        // parallel experiment trials) because candidates are evaluated in a
-        // deterministic order: strictly increasing device id. The cache in
-        // `refreshed_candidates` relies on this being the natural iteration
-        // order of the pool, with no per-placement re-sort.
-        let dc = Datacenter::default();
-        let cands = crate::policy::candidates_for(&dc, ResourceKind::Cpu, "t", 4, Some(1));
-        assert!(!cands.is_empty());
-        assert!(
-            cands.windows(2).all(|w| w[0].device < w[1].device),
-            "candidates_for must yield strictly increasing device ids"
-        );
-
-        // The cached path must expose the same devices in the same order,
-        // and refreshing on an unchanged pool must not perturb it.
-        let mut cache = BTreeMap::new();
-        for _ in 0..2 {
-            let cached = Scheduler::refreshed_candidates(
-                &mut cache,
-                &dc,
-                ResourceKind::Cpu,
-                "t",
-                4,
-                Some(1),
-            );
-            assert_eq!(cached.len(), cands.len());
-            for (a, b) in cached.iter().zip(&cands) {
-                assert_eq!(a.device, b.device);
-                assert_eq!(a.free_units, b.free_units);
+    fn class_pick_matches_full_scan() {
+        // Scoring one device per (free, rack, capacity) class picks what
+        // scoring every device of `candidates_for` in id order picks.
+        let mut dc = Datacenter::default();
+        let mut sched = Scheduler::new(SchedOptions::default());
+        sched.place_app(&mut dc, &one_task_app(8)).unwrap();
+        let pool = dc.pool(ResourceKind::Cpu).unwrap();
+        let exclude = [DeviceId(0), DeviceId(5)];
+        let mut scan: Option<(i64, DeviceId)> = None;
+        for c in crate::policy::candidates_for(&dc, ResourceKind::Cpu, "t", 4, Some(1)) {
+            if exclude.contains(&c.device) {
+                continue;
+            }
+            if let Some(s) = LocalityPolicy.score(&c) {
+                if scan.is_none_or(|(best, _)| s > best) {
+                    scan = Some((s, c.device));
+                }
             }
         }
+        let classes = best_candidate(&mut LocalityPolicy, pool, "t", 4, Some(1), &exclude);
+        assert!(scan.is_some());
+        assert_eq!(classes, scan);
+    }
+
+    #[test]
+    fn capacity_losses_are_audited_as_capacity() {
+        // A full device loses on capacity, before the policy is asked.
+        let mut dc = Datacenter::new(udc_hal::DatacenterConfig {
+            pools: vec![udc_hal::PoolConfig {
+                kind: ResourceKind::Cpu,
+                devices: 2,
+                capacity_per_device: 8,
+            }],
+            racks: 1,
+            fabric: Default::default(),
+        });
+        dc.pool_mut(ResourceKind::Cpu)
+            .unwrap()
+            .device_mut(DeviceId(0))
+            .unwrap()
+            .allocate("other", 8, false);
+        let obs = Telemetry::enabled();
+        let mut sched = Scheduler::new(SchedOptions::default());
+        sched.set_observer(obs.clone());
+        let placement = sched.place_app(&mut dc, &one_task_app(4)).unwrap();
+        assert_eq!(
+            placement.modules[&ModuleId::from("T")].primary_device,
+            DeviceId(1)
+        );
+        let records = obs.decisions();
+        let full = records
+            .iter()
+            .find(|d| d.stage == "sched.place_task" && d.candidate == "dev0")
+            .expect("the full device is audited");
+        assert!(!full.accepted);
+        assert_eq!(full.reason, ReasonCode::Capacity);
+        assert_eq!(full.detail, "free=0 needed=4");
+        assert_eq!(full.score, None);
     }
 }
