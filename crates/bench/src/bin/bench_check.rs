@@ -13,7 +13,7 @@
 //! Every threshold is stated next to its check. All files passed on the
 //! command line are merged into one name → ns/iter map; a missing bench
 //! name fails the run (a silently skipped check is a regression vector).
-//! `--suite=control|telemetry|actor|economics|query|failure|extvm` (repeatable) restricts which check
+//! `--suite=control|telemetry|actor|economics|query|failure|extvm|crypto` (repeatable) restricts which check
 //! suites run, so a CI job that only ran one bench binary can enforce
 //! exactly that binary's floors; with no `--suite=` flag every suite
 //! runs. Exits 0 when every check holds, 1 otherwise.
@@ -112,6 +112,7 @@ const SUITES: &[&str] = &[
     "query",
     "failure",
     "extvm",
+    "crypto",
 ];
 
 fn main() -> ExitCode {
@@ -130,7 +131,8 @@ fn main() -> ExitCode {
     }
     if paths.is_empty() {
         eprintln!(
-            "usage: bench_check [--suite=control|telemetry|actor|economics|query|failure|extvm]... \
+            "usage: bench_check \
+             [--suite=control|telemetry|actor|economics|query|failure|extvm|crypto]... \
              <bench-json>..."
         );
         return ExitCode::from(2);
@@ -344,6 +346,40 @@ fn main() -> ExitCode {
         // regression vector, same as everywhere else in this file.
         let _ = c.ns("extvm/compile_best_fit");
         let _ = c.ns("market/rebid_epoch");
+    }
+
+    if run("crypto") {
+        // Device-key fusion, on any hardware: one HKDF-Extract of the
+        // hardware root plus one expand per device must beat a full
+        // `derive_key` per device by >= 2x over a 6,400-device fleet
+        // (it saves 6 of 8 compressions per device; measured ~2.5-3.5x
+        // with the per-key bookkeeping both variants share).
+        c.speedup(
+            "crypto/device_keys/per_device/6400",
+            "crypto/device_keys/fused/6400",
+            2.0,
+        );
+        let _ = c.ns("crypto/derive_key");
+        // The `env/sha_ni` entry says whether the measuring CPU had the
+        // SHA extensions. With them, hashing 4 KiB must be >= 3x faster
+        // than the scalar compression function over the same blocks
+        // (measured ~7-10x); without them both run the scalar code and
+        // the floor is not expressible.
+        match c.ns("env/sha_ni") {
+            Some(v) if v >= 1.0 => {
+                println!("      env/sha_ni = 1: enforcing the SHA-NI speedup floor");
+                c.speedup("crypto/sha256_scalar/4096", "crypto/sha256/4096", 3.0);
+            }
+            Some(_) => {
+                println!(
+                    "      env/sha_ni = 0: the scalar path is the only one on this machine; \
+                     SHA-NI speedup floor not enforced"
+                );
+                let _ = c.ns("crypto/sha256_scalar/4096");
+                let _ = c.ns("crypto/sha256/4096");
+            }
+            None => {} // missing env/sha_ni already counted as a failure
+        }
     }
 
     if c.failures == 0 {

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use udc_crypto::aead::{seal, Key, Nonce};
 use udc_crypto::attest::Verifier;
-use udc_crypto::derive_key;
+use udc_crypto::hkdf::Prk;
 use udc_economics::{demand_of_app, SharedQuotaGate};
 use udc_failure::{DetectorConfig, FenceRegistry, LeaseDetector, NetPlan};
 use udc_hal::{Datacenter, DatacenterConfig, DeviceId};
@@ -144,7 +144,9 @@ pub struct UdcCloud {
     pub(crate) scheduler: Scheduler,
     billing: BillingModel,
     pub(crate) tenant: String,
-    tenant_secret: Vec<u8>,
+    /// The tenant secret, extracted once: module `m`'s data key is
+    /// `Key::from_prk(&tenant_prk, m)`.
+    tenant_prk: Prk,
     conflict_policy: ConflictPolicy,
     /// Per-device attestation keys, fused at build time.
     pub(crate) device_keys: BTreeMap<DeviceId, [u8; 32]>,
@@ -191,17 +193,12 @@ impl UdcCloud {
     /// Builds the cloud: datacenter, scheduler, and fused device keys.
     pub fn new(config: CloudConfig) -> Self {
         let dc = Datacenter::new(config.datacenter);
+        // One HKDF-Extract of the hardware root, one expand per device.
+        let root = Prk::extract(b"device-key", b"udc-hardware-root");
         let device_keys: BTreeMap<DeviceId, [u8; 32]> = dc
             .device_ids()
             .into_iter()
-            .map(|id| {
-                let key = derive_key(
-                    b"udc-hardware-root",
-                    b"device-key",
-                    format!("{id}").as_bytes(),
-                );
-                (id, key)
-            })
+            .map(|id| (id, root.expand(format!("{id}").as_bytes())))
             .collect();
         let tenant = config.tenant.clone();
         let scheduler = Scheduler::new(SchedOptions {
@@ -216,7 +213,7 @@ impl UdcCloud {
             scheduler,
             billing: config.billing,
             tenant,
-            tenant_secret: config.tenant_secret,
+            tenant_prk: Key::prk(&config.tenant_secret),
             conflict_policy: config.conflict_policy,
             device_keys,
             next_instance: 0,
@@ -458,7 +455,7 @@ impl UdcCloud {
             if m.spec.kind == ModuleKind::Data {
                 data_keys.insert(
                     id.clone(),
-                    Key::derive(&self.tenant_secret, id.as_str().as_bytes()),
+                    Key::from_prk(&self.tenant_prk, id.as_str().as_bytes()),
                 );
             }
 
@@ -673,6 +670,10 @@ impl UdcCloud {
             }
         }
 
+        // Challenges use a fresh nonce derived from the clock
+        // (deterministic in simulation, unique per challenge): one
+        // extract per verification, one expand per module.
+        let nonces = Prk::extract(&self.dc.clock().now().to_be_bytes(), b"udc-nonce");
         let mut report = VerificationReport::default();
         for m in &dep.ir.modules {
             let id = &m.spec.id;
@@ -705,13 +706,7 @@ impl UdcCloud {
                 );
                 continue;
             };
-            // Challenge-response with a fresh nonce derived from the
-            // clock (deterministic in simulation, unique per challenge).
-            let nonce = derive_key(
-                b"udc-nonce",
-                &self.dc.clock().now().to_be_bytes(),
-                id.as_str().as_bytes(),
-            );
+            let nonce = nonces.expand(id.as_str().as_bytes());
             let mut claims = BTreeMap::new();
             let isolation = m
                 .spec
@@ -803,6 +798,10 @@ impl UdcCloud {
             .econ_gate
             .as_ref()
             .map(|g| g.lock().expect("quota gate poisoned"));
+        let debits = ledger_gate
+            .as_ref()
+            .and_then(|g| g.account(&self.tenant))
+            .map(|a| a.ledger.debits_by_module());
         for (id, m) in &dep.placement.modules {
             let labels = Labels::module(self.tenant.as_str(), id.as_str());
             let billed = self.obs.counter("core.billed_microdollars", &labels);
@@ -810,10 +809,9 @@ impl UdcCloud {
             if billed == 0 && window == 0 {
                 continue; // Never ran with telemetry on: nothing to check.
             }
-            let expected = ledger_gate
+            let expected = debits
                 .as_ref()
-                .and_then(|g| g.account(&self.tenant))
-                .map(|a| a.ledger.debits_for_module(id.as_str()))
+                .map(|d| d.get(id.as_str()).copied().unwrap_or(0))
                 .unwrap_or_else(|| dep.billing.price_module(&self.dc, m, window));
             let slack = (expected as f64 * rec.tolerance).max(2.0);
             rec.modules.insert(
@@ -1237,6 +1235,33 @@ mod tests {
         let dep2 = pricey_cloud.submit(&small_app()).unwrap();
         let pricey = pricey_cloud.run(&dep2);
         assert!(pricey.cost.total > base.cost.total);
+    }
+
+    #[test]
+    fn fused_device_keys_equal_per_device_derivation() {
+        let cloud = UdcCloud::new(CloudConfig::default());
+        let ids = cloud.dc.device_ids();
+        assert_eq!(cloud.device_keys.len(), ids.len());
+        for id in ids {
+            let expected = udc_crypto::derive_key(
+                b"udc-hardware-root",
+                b"device-key",
+                format!("{id}").as_bytes(),
+            );
+            assert_eq!(cloud.device_keys[&id], expected, "device {id}");
+        }
+    }
+
+    #[test]
+    fn data_keys_equal_per_module_derivation() {
+        let config = CloudConfig::default();
+        let secret = config.tenant_secret.clone();
+        let mut cloud = UdcCloud::new(config);
+        let dep = cloud.submit(&small_app()).unwrap();
+        assert!(!dep.data_keys.is_empty());
+        for (id, key) in &dep.data_keys {
+            assert_eq!(*key, Key::derive(&secret, id.as_str().as_bytes()), "{id}");
+        }
     }
 }
 

@@ -7,8 +7,8 @@
 //! key is never used for both purposes.
 
 use crate::chacha20::ChaCha20;
-use crate::hkdf::derive_key;
-use crate::hmac::{hmac_sha256, verify_tag};
+use crate::hkdf::Prk;
+use crate::hmac::{verify_tag, HmacKey};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -20,7 +20,19 @@ impl Key {
     /// Derives a key from arbitrary bytes (e.g. a tenant secret and a
     /// module name).
     pub fn derive(ikm: &[u8], context: &[u8]) -> Self {
-        Key(derive_key(ikm, b"udc-seal", context))
+        Self::from_prk(&Self::prk(ikm), context)
+    }
+
+    /// The extract half of [`Key::derive`]: build it once per `ikm`,
+    /// then [`Key::from_prk`] each context.
+    pub fn prk(ikm: &[u8]) -> Prk {
+        Prk::extract(b"udc-seal", ikm)
+    }
+
+    /// The expand half of [`Key::derive`]:
+    /// `Key::from_prk(&Key::prk(ikm), context) == Key::derive(ikm, context)`.
+    pub fn from_prk(prk: &Prk, context: &[u8]) -> Self {
+        Key(prk.expand(context))
     }
 }
 
@@ -75,19 +87,14 @@ impl fmt::Display for AeadError {
 
 impl std::error::Error for AeadError {}
 
-fn subkeys(key: &Key) -> ([u8; 32], [u8; 32]) {
-    let enc = derive_key(&key.0, b"udc-aead", b"enc");
-    let mac = derive_key(&key.0, b"udc-aead", b"mac");
-    (enc, mac)
+/// The encryption key and the MAC key, both expanded from one extract.
+fn subkeys(key: &Key) -> ([u8; 32], HmacKey) {
+    let prk = Prk::extract(b"udc-aead", &key.0);
+    (prk.expand(b"enc"), HmacKey::new(&prk.expand(b"mac")))
 }
 
-fn compute_tag(mac_key: &[u8; 32], nonce: &Nonce, aad: &[u8], ct: &[u8]) -> [u8; 32] {
-    let mut msg = Vec::with_capacity(12 + 8 + aad.len() + ct.len());
-    msg.extend_from_slice(&nonce.0);
-    msg.extend_from_slice(&(aad.len() as u64).to_be_bytes());
-    msg.extend_from_slice(aad);
-    msg.extend_from_slice(ct);
-    hmac_sha256(mac_key, &msg)
+fn compute_tag(mac_key: &HmacKey, nonce: &Nonce, aad: &[u8], ct: &[u8]) -> [u8; 32] {
+    mac_key.mac_parts(&[&nonce.0, &(aad.len() as u64).to_be_bytes(), aad, ct])
 }
 
 /// Seals `plaintext` under `key` and `nonce`, binding `aad` (associated
@@ -119,6 +126,31 @@ pub fn open(key: &Key, aad: &[u8], boxed: &SealedBox) -> Result<Vec<u8>, AeadErr
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn hex(d: &[u8]) -> String {
+        d.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Pins one sealed box byte for byte, so the keystream, the subkey
+    /// derivation and the streamed tag cannot drift.
+    #[test]
+    fn seal_output_is_pinned() {
+        let key = Key::derive(b"tenant-secret", b"S1");
+        let payload: Vec<u8> = (0..300u32).map(|i| (i * 7 % 256) as u8).collect();
+        let boxed = seal(&key, Nonce::from_sequence(42), b"to:A3", &payload);
+        assert_eq!(
+            hex(&boxed.ciphertext[..32]),
+            "2fceb350ae5b86e7cb5573905ec545babc35d5db569993206263f4395299739b"
+        );
+        assert_eq!(
+            hex(&boxed.ciphertext[268..]),
+            "51a3211a74b35330e232e1b31c4250c7e357ae35765e7c1555ebb8bca71c16d5"
+        );
+        assert_eq!(
+            hex(&boxed.tag),
+            "aa2e7b0fc881a3c18dfabe1cca473f02bb68c42c41f9337621c2cbc5b8d98b07"
+        );
+    }
 
     #[test]
     fn seal_open_round_trip() {

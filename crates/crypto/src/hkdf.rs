@@ -2,7 +2,49 @@
 //! used to derive per-module and per-purpose keys from a tenant master
 //! key so that each fine-grained module gets independent key material.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::{hmac_sha256, HmacKey};
+use std::fmt;
+
+/// An HKDF pseudorandom key: the result of one HKDF-Extract, ready to
+/// expand any number of `info` strings.
+///
+/// [`derive_key`] extracts and expands in one call; when several keys
+/// share `ikm` and `salt`, extracting once and expanding each saves
+/// the extract and both pad compressions per key.
+///
+/// # Examples
+///
+/// ```
+/// use udc_crypto::hkdf::{derive_key, Prk};
+/// let prk = Prk::extract(b"device-key", b"udc-hardware-root");
+/// for id in ["dev-0", "dev-1", "dev-2"] {
+///     assert_eq!(
+///         prk.expand(id.as_bytes()),
+///         derive_key(b"udc-hardware-root", b"device-key", id.as_bytes()),
+///     );
+/// }
+/// ```
+#[derive(Clone)]
+pub struct Prk(HmacKey);
+
+impl Prk {
+    /// HKDF-Extract: `PRK = HMAC(salt, ikm)`.
+    pub fn extract(salt: &[u8], ikm: &[u8]) -> Self {
+        Prk(HmacKey::new(&hmac_sha256(salt, ikm)))
+    }
+
+    /// The first HKDF-Expand block, `T(1) = HMAC(PRK, info ‖ 0x01)`,
+    /// which suffices for 32-byte outputs.
+    pub fn expand(&self, info: &[u8]) -> [u8; 32] {
+        self.0.mac_parts(&[info, &[0x01]])
+    }
+}
+
+impl fmt::Debug for Prk {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Prk(<redacted>)")
+    }
+}
 
 /// Derives a 32-byte key from `ikm` (input keying material), an optional
 /// `salt`, and a context `info` string.
@@ -10,27 +52,18 @@ use crate::hmac::hmac_sha256;
 /// Implements HKDF-Extract followed by a single HKDF-Expand block, which
 /// suffices for 32-byte outputs.
 pub fn derive_key(ikm: &[u8], salt: &[u8], info: &[u8]) -> [u8; 32] {
-    let prk = hmac_sha256(salt, ikm);
-    // Expand: T(1) = HMAC(PRK, info || 0x01).
-    let mut msg = Vec::with_capacity(info.len() + 1);
-    msg.extend_from_slice(info);
-    msg.push(0x01);
-    hmac_sha256(&prk, &msg)
+    Prk::extract(salt, ikm).expand(info)
 }
 
 /// Derives `n` independent 32-byte keys using full HKDF-Expand chaining.
 pub fn derive_keys(ikm: &[u8], salt: &[u8], info: &[u8], n: usize) -> Vec<[u8; 32]> {
     assert!(n <= 255, "HKDF-Expand supports at most 255 blocks");
-    let prk = hmac_sha256(salt, ikm);
-    let mut out = Vec::with_capacity(n);
-    let mut prev: Vec<u8> = Vec::new();
+    let Prk(prk) = Prk::extract(salt, ikm);
+    let mut out: Vec<[u8; 32]> = Vec::with_capacity(n);
     for i in 1..=n {
-        let mut msg = prev.clone();
-        msg.extend_from_slice(info);
-        msg.push(i as u8);
-        let t = hmac_sha256(&prk, &msg);
+        let prev: &[u8] = out.last().map_or(&[], |t| t);
+        let t = prk.mac_parts(&[prev, info, &[i as u8]]);
         out.push(t);
-        prev = t.to_vec();
     }
     out
 }

@@ -2,32 +2,85 @@
 //! quote-signing primitive of the simulated hardware root of trust.
 
 use crate::sha256::{sha256, Sha256};
+use std::fmt;
 
 const BLOCK: usize = 64;
 
+/// An HMAC-SHA256 key with its padded blocks already absorbed: the
+/// inner and outer hash states after `key ⊕ ipad` and `key ⊕ opad`.
+///
+/// Each MAC under the key then costs the message's compressions plus
+/// two, instead of four more for re-hashing both pads, so a key that
+/// signs many messages should be built once.
+///
+/// # Examples
+///
+/// ```
+/// use udc_crypto::hmac::{hmac_sha256, HmacKey};
+/// let key = HmacKey::new(b"Jefe");
+/// let tag = key.mac(b"what do ya want for nothing?");
+/// assert_eq!(tag, hmac_sha256(b"Jefe", b"what do ya want for nothing?"));
+/// // A message in pieces MACs exactly like the concatenation.
+/// assert_eq!(key.mac_parts(&[b"what do ya want ", b"for nothing?"]), tag);
+/// ```
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacKey {
+    /// Pads `key` (hashing it first if it is longer than a block) and
+    /// absorbs the inner and outer pads.
+    pub fn new(key: &[u8]) -> Self {
+        let mut k = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            let d = sha256(key);
+            k[..32].copy_from_slice(&d);
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let mut ipad = [0x36u8; BLOCK];
+        let mut opad = [0x5cu8; BLOCK];
+        for i in 0..BLOCK {
+            ipad[i] ^= k[i];
+            opad[i] ^= k[i];
+        }
+        let mut inner = Sha256::new();
+        inner.update(&ipad);
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        Self { inner, outer }
+    }
+
+    /// `HMAC-SHA256(key, message)`.
+    pub fn mac(&self, message: &[u8]) -> [u8; 32] {
+        self.mac_parts(&[message])
+    }
+
+    /// `HMAC-SHA256(key, parts[0] ‖ parts[1] ‖ …)`, streamed without
+    /// joining the parts.
+    pub fn mac_parts(&self, parts: &[&[u8]]) -> [u8; 32] {
+        let mut inner = self.inner.clone();
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
+impl fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The midstates are as secret as the key.
+        f.write_str("HmacKey(<redacted>)")
+    }
+}
+
 /// Computes `HMAC-SHA256(key, message)`.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
-    let mut k = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        let d = sha256(key);
-        k[..32].copy_from_slice(&d);
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-    let mut ipad = [0x36u8; BLOCK];
-    let mut opad = [0x5cu8; BLOCK];
-    for i in 0..BLOCK {
-        ipad[i] ^= k[i];
-        opad[i] ^= k[i];
-    }
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).mac(message)
 }
 
 /// Constant-time-ish tag comparison.
@@ -93,6 +146,11 @@ mod tests {
             hex(&tag),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
+    }
+
+    #[test]
+    fn hmac_key_debug_redacts() {
+        assert_eq!(format!("{:?}", HmacKey::new(b"k")), "HmacKey(<redacted>)");
     }
 
     #[test]

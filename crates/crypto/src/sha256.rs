@@ -68,16 +68,14 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                compress_blocks(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        let whole = data.len() - data.len() % 64;
+        if whole > 0 {
+            compress_blocks(&mut self.state, &data[..whole]);
+            data = &data[whole..];
         }
         if !data.is_empty() {
             self.buf[..data.len()].copy_from_slice(data);
@@ -88,16 +86,13 @@ impl Sha256 {
     /// Finishes and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        // `update` adjusted total_len; preserve the original bit length.
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        self.total_len = 0; // Length is already captured in bit_len.
-        let mut block_tail = [0u8; 8];
-        block_tail.copy_from_slice(&bit_len.to_be_bytes());
-        self.update(&block_tail);
+        // Padding: 0x80, zeros up to 56 mod 64, 64-bit big-endian length,
+        // absorbed in one `update`.
+        let zeros = (119 - self.buf_len) % 64;
+        let mut pad = [0u8; 72];
+        pad[0] = 0x80;
+        pad[1 + zeros..9 + zeros].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&pad[..9 + zeros]);
         debug_assert_eq!(self.buf_len, 0);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -105,54 +100,187 @@ impl Sha256 {
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
+/// Runs the compression function over `blocks`, a whole number of
+/// 64-byte blocks, updating `state` in place.
+///
+/// Dispatches at run time: on x86_64 CPUs with the SHA extensions
+/// (plus SSSE3 and SSE4.1) it uses the SHA-NI kernel, elsewhere
+/// `compress_blocks_scalar`. Both produce the same state.
+pub fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    assert_eq!(blocks.len() % 64, 0, "SHA-256 blocks are 64 bytes");
+    #[cfg(target_arch = "x86_64")]
+    if has_sha_ni() {
+        // SAFETY: `has_sha_ni` confirmed the CPU supports every feature
+        // the kernel is compiled with (sha, sse2, ssse3, sse4.1).
+        unsafe { shani::compress_blocks(state, blocks) };
+        return;
+    }
+    compress_blocks_scalar(state, blocks);
+}
+
+/// Whether [`compress_blocks`] takes the SHA-NI path on this CPU.
+/// (`is_x86_feature_detected!` caches its answer, so this is cheap.)
+pub fn has_sha_ni() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The portable compression function, block by block: the fallback for
+/// CPUs without SHA-NI and the oracle the SIMD kernel is tested against.
+#[doc(hidden)]
+pub fn compress_blocks_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    assert_eq!(blocks.len() % 64, 0, "SHA-256 blocks are 64 bytes");
+    let (blocks, _) = blocks.as_chunks::<64>();
+    for block in blocks {
+        compress(state, block);
+    }
+}
+
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for i in 0..16 {
+        w[i] = u32::from_be_bytes([
+            block[i * 4],
+            block[i * 4 + 1],
+            block[i * 4 + 2],
+            block[i * 4 + 3],
+        ]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
+}
+
+/// The SHA-NI kernel: four rounds per `sha256rnds2` pair, the message
+/// schedule in `sha256msg1`/`sha256msg2`.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Compresses `blocks` (a whole number of 64-byte blocks) into
+    /// `state` with the SHA extensions.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `sha`, `ssse3` and `sse4.1`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        // Byte order: each 32-bit message word is big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // SAFETY (all loads and stores below): `state` is 32 bytes, each
+        // block 64 and `K` 256, and the unaligned load/store intrinsics
+        // have no alignment requirement.
+        let dcba = unsafe { _mm_loadu_si128(state.as_ptr().cast()) };
+        let hgfe = unsafe { _mm_loadu_si128(state.as_ptr().add(4).cast()) };
+        // `sha256rnds2` wants the state as (a, b, e, f) and (c, d, g, h).
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+        // Four rounds on message words `$w` (rounds 4i..4i+4).
+        macro_rules! rounds4 {
+            ($w:expr, $i:expr) => {{
+                let k = unsafe { _mm_loadu_si128(K.as_ptr().add(4 * $i).cast()) };
+                let wk = _mm_add_epi32($w, k);
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            }};
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+        // W[t..t+4] from W[t-16..t-12] (replaced in place), W[t-12..t-8],
+        // W[t-8..t-4] and W[t-4..t].
+        macro_rules! schedule {
+            ($w0:ident, $w1:ident, $w2:ident, $w3:ident) => {
+                $w0 = _mm_sha256msg2_epu32(
+                    _mm_add_epi32(_mm_sha256msg1_epu32($w0, $w1), _mm_alignr_epi8($w3, $w2, 4)),
+                    $w3,
+                );
+            };
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
+
+        let (blocks, _) = blocks.as_chunks::<64>();
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let p = block.as_ptr();
+            let (mut w0, mut w1, mut w2, mut w3) = unsafe {
+                (
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.cast()), bswap),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(16).cast()), bswap),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(32).cast()), bswap),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(48).cast()), bswap),
+                )
+            };
+            rounds4!(w0, 0);
+            rounds4!(w1, 1);
+            rounds4!(w2, 2);
+            rounds4!(w3, 3);
+            for i in 1..4 {
+                schedule!(w0, w1, w2, w3);
+                rounds4!(w0, 4 * i);
+                schedule!(w1, w2, w3, w0);
+                rounds4!(w1, 4 * i + 1);
+                schedule!(w2, w3, w0, w1);
+                rounds4!(w2, 4 * i + 2);
+                schedule!(w3, w0, w1, w2);
+                rounds4!(w3, 4 * i + 3);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+        unsafe {
+            _mm_storeu_si128(state.as_mut_ptr().cast(), dcba);
+            _mm_storeu_si128(state.as_mut_ptr().add(4).cast(), hgfe);
+        }
     }
 }
 

@@ -8,11 +8,12 @@ use udc_crypto::replay::ReplayGuard;
 use udc_crypto::sha256::{sha256, Sha256};
 
 proptest! {
-    /// Incremental hashing equals one-shot hashing for any chunking.
+    /// Incremental hashing equals one-shot hashing for any chunking of
+    /// up to 2 KiB into up to eight updates.
     #[test]
     fn sha256_incremental_equals_oneshot(
-        data in prop::collection::vec(any::<u8>(), 0..2048),
-        splits in prop::collection::vec(0usize..2048, 0..5),
+        data in prop::collection::vec(any::<u8>(), 0..=2048),
+        splits in prop::collection::vec(0usize..=2048, 0..8),
     ) {
         let oneshot = sha256(&data);
         let mut points: Vec<usize> = splits.into_iter().map(|s| s % (data.len() + 1)).collect();

@@ -36,7 +36,7 @@ pub mod market;
 pub mod plan;
 
 pub use gate::{demand_of_app, shared, AdmissionVerdict, QuotaGate, SharedQuotaGate};
-pub use ledger::{EntryKind, LedgerEntry, UsageLedger};
+pub use ledger::{EntryKind, LedgerEntry, ModuleDebits, UsageLedger};
 pub use market::{
     hostfn, AuctionOutcome, BidRecord, BidderPolicy, Lot, SpotMarket, AGGRESSIVE_BIDDER,
     BUDGET_BIDDER, SHADED_BIDDER, TRUTHFUL_BIDDER,
