@@ -30,15 +30,12 @@
 //!   three systems implement, so replay/recovery consumers are
 //!   executor-agnostic;
 //! - [`supervise::SupervisionPolicy`] — restart/drop/escalate handling
-//!   of actor failures;
-//! - [`parallel::ThreadPool`] — a crossbeam-based threaded executor for
-//!   CPU-bound batch workloads where determinism is not required.
+//!   of actor failures.
 
 pub mod actor;
 pub mod log;
 pub mod naive;
 pub mod par;
-pub mod parallel;
 mod readiness;
 pub mod runtime;
 mod slab;
@@ -49,7 +46,6 @@ pub use actor::{Actor, ActorError, ActorId, Ctx, Message};
 pub use log::MessageLog;
 pub use naive::NaiveSystem;
 pub use par::ParSystem;
-pub use parallel::ThreadPool;
 pub use runtime::ActorRuntime;
 pub use supervise::SupervisionPolicy;
 pub use system::{ActorRef, System, SystemStats};

@@ -8,24 +8,15 @@
 //! drives allocations toward the true need. Reported per round: total
 //! over-allocation waste and SLO violations (usage > allocation).
 //!
-//! Since PR 8 the loop is *subscription-driven*: the tuner no longer
-//! polls the HAL estimator — it subscribes to one EWMA query per module
-//! in the continuous-query engine (same smoothing constant, so the
-//! values are bit-identical; `tests/query_equiv.rs` pins that the whole
-//! artifact matches the polling implementation byte for byte). Riding
-//! the same observation stream, a sustained-saturation alert rule marks
-//! the rounds where a module ran above its allocation for a full
-//! control period — the auditable record of *why* the loop grew it.
+//! The loop is *subscription-driven*: the tuner reads one EWMA query per
+//! module in the continuous-query engine (`tests/query_equiv.rs` pins the
+//! exported artifact byte for byte). Riding the same observation stream,
+//! a sustained-saturation alert rule marks the rounds where a module ran
+//! above its allocation for a full control period — the auditable record
+//! of *why* the loop grew it.
 
-use udc_bench::finetune_sim::{self, FeedMode, USAGE_GAUGE};
+use udc_bench::finetune_sim;
 use udc_bench::{banner, fmt_us, pct, Table};
-
-/// Fires when a module's raw usage sits above 1.0 (saturated: demand
-/// exceeds allocation) for a full control round — the condition that
-/// gates the tuner's grow/migrate escalation.
-fn saturation_rule() -> String {
-    format!("e12.saturated: sustained(gauge:{USAGE_GAUGE} > 1) for 1s")
-}
 
 fn main() {
     banner(
@@ -35,8 +26,8 @@ fn main() {
          to actual usage, cutting waste without starving modules",
     );
 
-    let rule = saturation_rule();
-    let out = finetune_sim::run(FeedMode::Subscribed, &[rule.as_str()]);
+    let rule = finetune_sim::saturation_rule();
+    let out = finetune_sim::run(&[rule.as_str()]);
 
     let mut t = Table::new(&[
         "round",

@@ -1,17 +1,10 @@
-//! The E12 fine-tune control loop, runnable over either telemetry feed:
-//! **polling** (the seed path — `udc_hal::Telemetry::sample_usage` +
-//! `FineTuner::evaluate` re-reading the raw estimator each round) or
-//! **subscribed** (the continuous-query path — one EWMA query per
-//! module over a `tune.usage` gauge stream, the tuner fed from
-//! subscription polls via `FineTuner::evaluate_usage`).
-//!
-//! Both modes drive the *same* tuner policy over the *same* simulated
-//! workload and record the *same* per-round Measurement events into the
-//! returned hub, so with no alert rules loaded the exported artifacts
-//! are byte-identical — that equivalence is pinned by
-//! `tests/query_equiv.rs`. The query EWMA uses
-//! [`udc_hal::telemetry::EWMA_ALPHA`], so the smoothed values the two
-//! modes see are the same `f64`s bit-for-bit, not merely close.
+//! The E12 fine-tune control loop: one EWMA query per module over a
+//! `tune.usage` gauge stream in the continuous-query engine, the tuner
+//! fed from subscription polls via `FineTuner::evaluate_usage`. Each
+//! round records one Measurement event into the returned hub; alert
+//! rules ride the same observation stream. `tests/query_equiv.rs` pins
+//! the exported artifact byte for byte against the committed
+//! `results/exp_12_finetune.json`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -20,21 +13,21 @@ use udc_query::{Aggregation, LabelFilter, Obs, QueryEngine, QuerySpec, Source, S
 use udc_sched::{FineTuner, TuneAction, TunerConfig};
 use udc_telemetry::{EventKind, FieldValue, Labels, Telemetry as Hub};
 
-/// Gauge name the subscribed mode streams per-module usage under.
+/// Gauge name the loop streams per-module usage under.
 pub const USAGE_GAUGE: &str = "tune.usage";
+/// EWMA smoothing factor of the per-module usage queries.
+pub const EWMA_ALPHA: f64 = 0.3;
 /// One control round per simulated second: each round's sample lands in
 /// its own tumbling window, closed by the round's `advance_to`.
 pub const ROUND_US: u64 = 1_000_000;
 /// Rounds in the standard E12 run.
 pub const ROUNDS: u64 = 12;
 
-/// Which feed drives the tuner.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FeedMode {
-    /// Seed path: HAL estimator polled every round.
-    Polling,
-    /// Query path: per-module EWMA subscriptions.
-    Subscribed,
+/// Fires when a module's raw usage sits above 1.0 (saturated: demand
+/// exceeds allocation) for a full control round — the condition that
+/// gates the tuner's grow/migrate escalation. E12 loads it.
+pub fn saturation_rule() -> String {
+    format!("e12.saturated: sustained(gauge:{USAGE_GAUGE} > 1) for 1s")
 }
 
 /// One simulated module: a fixed true need against a moving allocation.
@@ -88,7 +81,7 @@ pub struct RoundStats {
 /// assert equivalence.
 pub struct SimOutcome {
     /// The telemetry hub: one Measurement event per round, plus any
-    /// alerts the loaded rules fired (subscribed mode only).
+    /// alerts the loaded rules fired.
     pub hub: Hub,
     /// Final module allocations.
     pub modules: Vec<SimModule>,
@@ -101,15 +94,10 @@ pub struct SimOutcome {
 }
 
 /// Runs the simulation. `rules` are alert rules (the grammar of
-/// [`udc_query::parse_rule`]) evaluated against the subscribed mode's
-/// observation stream; they must be empty in polling mode (there is no
-/// engine to host them) and must not alter the tuner's behavior — they
-/// only fire alerts into the hub.
-pub fn run(mode: FeedMode, rules: &[&str]) -> SimOutcome {
-    assert!(
-        rules.is_empty() || mode == FeedMode::Subscribed,
-        "alert rules need the subscribed feed"
-    );
+/// [`udc_query::parse_rule`]) evaluated against the loop's observation
+/// stream; they do not alter the tuner's behavior — they only fire
+/// alerts into the hub.
+pub fn run(rules: &[&str]) -> SimOutcome {
     let mut modules = standard_modules();
     let mut tuner = FineTuner::new(TunerConfig::default());
     let hub = Hub::enabled();
@@ -119,37 +107,32 @@ pub fn run(mode: FeedMode, rules: &[&str]) -> SimOutcome {
         hub.set_clock(move || c.load(Ordering::Relaxed));
     }
 
-    let mut hal = udc_hal::Telemetry::new();
     let mut engine = QueryEngine::new();
     let mut subs: Vec<SubId> = Vec::new();
-    if mode == FeedMode::Subscribed {
-        for m in &modules {
-            let name = format!("tune.usage.{}", m.name);
-            engine
-                .register(QuerySpec {
-                    name: name.clone(),
-                    source: Source::Gauge {
-                        name: USAGE_GAUGE.to_string(),
-                        labels: LabelFilter {
-                            tenant: None,
-                            module: Some(m.name.to_string()),
-                        },
+    for m in &modules {
+        let name = format!("tune.usage.{}", m.name);
+        engine
+            .register(QuerySpec {
+                name: name.clone(),
+                source: Source::Gauge {
+                    name: USAGE_GAUGE.to_string(),
+                    labels: LabelFilter {
+                        tenant: None,
+                        module: Some(m.name.to_string()),
                     },
-                    agg: Aggregation::Ewma {
-                        alpha: udc_hal::telemetry::EWMA_ALPHA,
-                    },
-                    window: WindowSpec::tumbling(ROUND_US),
-                })
-                .expect("usage query registers");
-            subs.push(engine.subscribe(&name).expect("usage query subscribes"));
+                },
+                agg: Aggregation::Ewma { alpha: EWMA_ALPHA },
+                window: WindowSpec::tumbling(ROUND_US),
+            })
+            .expect("usage query registers");
+        subs.push(engine.subscribe(&name).expect("usage query subscribes"));
+    }
+    for text in rules {
+        let parsed = udc_query::parse_rule(text).expect("sim rule parses");
+        for q in parsed.queries {
+            engine.register(q).expect("sim rule query registers");
         }
-        for text in rules {
-            let parsed = udc_query::parse_rule(text).expect("sim rule parses");
-            for q in parsed.queries {
-                engine.register(q).expect("sim rule query registers");
-            }
-            engine.add_rule(parsed.rule).expect("sim rule loads");
-        }
+        engine.add_rule(parsed.rule).expect("sim rule loads");
     }
 
     let mut rounds = Vec::new();
@@ -157,43 +140,25 @@ pub fn run(mode: FeedMode, rules: &[&str]) -> SimOutcome {
         clock.store(round * ROUND_US, Ordering::Relaxed);
         // Usage: need / allocation, with a deterministic ripple.
         let ripple = 1.0 + 0.05 * ((round % 3) as f64 - 1.0);
-        let usages: Vec<f64> = modules
+        for m in &modules {
+            engine.push(Obs::Gauge {
+                at_us: round * ROUND_US,
+                name: USAGE_GAUGE.to_string(),
+                labels: Labels {
+                    tenant: None,
+                    module: Some(m.name.to_string()),
+                },
+                value: (m.true_need * ripple) / m.allocated.max(1) as f64,
+            });
+        }
+        // Close this round's windows; each subscription yields the EWMA
+        // including this round's sample.
+        engine.advance_to((round + 1) * ROUND_US);
+        let smoothed: Vec<Option<f64>> = subs
             .iter()
-            .map(|m| (m.true_need * ripple) / m.allocated.max(1) as f64)
+            .map(|&s| engine.poll(s).last().map(|o| o.value))
             .collect();
-        let smoothed: Vec<Option<f64>> = match mode {
-            FeedMode::Polling => modules
-                .iter()
-                .zip(&usages)
-                .map(|(m, &u)| {
-                    hal.sample_usage(m.name, round, u);
-                    hal.usage_estimate(m.name)
-                })
-                .collect(),
-            FeedMode::Subscribed => {
-                for (m, &u) in modules.iter().zip(&usages) {
-                    engine.push(Obs::Gauge {
-                        at_us: round * ROUND_US,
-                        name: USAGE_GAUGE.to_string(),
-                        labels: Labels {
-                            tenant: None,
-                            module: Some(m.name.to_string()),
-                        },
-                        value: u,
-                    });
-                }
-                // Close this round's windows; each subscription yields
-                // exactly the EWMA including this round's sample —
-                // which is what the polling path's estimator returns.
-                engine.advance_to((round + 1) * ROUND_US);
-                let vals = subs
-                    .iter()
-                    .map(|&s| engine.poll(s).last().map(|o| o.value))
-                    .collect();
-                engine.fire_into(&hub);
-                vals
-            }
-        };
+        engine.fire_into(&hub);
         let mut actions = 0u64;
         for (m, sm) in modules.iter_mut().zip(&smoothed) {
             let Some(usage) = *sm else { continue };
@@ -246,19 +211,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn both_feeds_converge_every_module_into_band() {
-        for mode in [FeedMode::Polling, FeedMode::Subscribed] {
-            let out = run(mode, &[]);
-            for m in &out.modules {
-                let usage = m.true_need / m.allocated as f64;
-                assert!(
-                    (0.35..=1.0).contains(&usage),
-                    "{:?}: {} ended at usage {usage}",
-                    mode,
-                    m.name
-                );
-            }
-            assert_eq!(out.rounds.len(), ROUNDS as usize);
+    fn converges_every_module_into_band() {
+        let out = run(&[]);
+        for m in &out.modules {
+            let usage = m.true_need / m.allocated as f64;
+            assert!(
+                (0.35..=1.0).contains(&usage),
+                "{} ended at usage {usage}",
+                m.name
+            );
         }
+        assert_eq!(out.rounds.len(), ROUNDS as usize);
     }
 }

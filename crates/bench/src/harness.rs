@@ -1,5 +1,5 @@
-//! Experiment-driver harness: the in-order trial fan-out (shared with
-//! the actor crate's parallelism module) plus `--threads` CLI parsing.
+//! Experiment-driver harness: the in-order trial fan-out plus
+//! `--threads` CLI parsing.
 //!
 //! Experiments stay deterministic at any thread count by construction:
 //!
@@ -10,13 +10,50 @@
 //! 3. [`fan_out`] hands results back **in trial order**, regardless of
 //!    which worker finished when, so the driver absorbs/merges them in
 //!    the same order a serial run would.
-//!
-//! The fan-out primitive itself lives in [`udc_actor::parallel`] — one
-//! scoped-pool implementation serves both the experiment drivers here
-//! and the actor crate's batch workloads — and is re-exported so every
-//! existing `harness::fan_out` call site keeps working.
 
-pub use udc_actor::parallel::fan_out;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+/// Runs `f(0..trials)` across `threads` workers and returns the results
+/// indexed by trial, exactly as a serial `(0..trials).map(f)` would.
+///
+/// Work is distributed by an atomic next-trial counter, so uneven trial
+/// costs self-balance. With `threads <= 1` (or a single trial) no
+/// threads are spawned and `f` runs inline on the caller's stack.
+/// Determinism at any thread count is by construction: threads only
+/// decide *who* computes a trial, never *what* it computes or where its
+/// result lands.
+pub fn fan_out<T, F>(threads: usize, trials: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    if threads <= 1 || trials <= 1 {
+        return (0..trials).map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..trials).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(trials) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= trials {
+                    break;
+                }
+                let out = f(i);
+                *slots[i].lock().expect("fan_out slot poisoned") = Some(out);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .expect("fan_out slot poisoned")
+                .expect("every trial fills its slot")
+        })
+        .collect()
+}
 
 /// Parses a `--threads N` / `--threads=N` flag out of an argument list.
 /// Returns the worker count (default 1) or an error message for a

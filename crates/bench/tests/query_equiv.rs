@@ -1,11 +1,9 @@
-//! PR 8's two observable-equivalence contracts.
+//! Two observable-equivalence contracts of the continuous-query path.
 //!
-//! 1. **Subscriptions replace polling without changing behavior.** The
-//!    E12 fine-tune loop runs over either feed (`finetune_sim`): the
-//!    polling path reads the HAL's EWMA estimator; the subscribed path
-//!    reads per-module EWMA queries in the continuous-query engine.
-//!    With no alert rules loaded, the two runs must be *byte-identical*
-//!    — same decisions, same final allocations, same exported artifact.
+//! 1. **The subscription-driven E12 loop reproduces its committed
+//!    artifact.** `finetune_sim::run` with E12's saturation rule must
+//!    export `results/exp_12_finetune.json` byte for byte — same
+//!    decisions, same smoothed usage, same alerts.
 //!
 //! 2. **Alerts are deterministic at any `--threads N`.** Rule
 //!    evaluation happens only at the single-threaded barrier, after
@@ -16,34 +14,20 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use udc_bench::finetune_sim::{self, FeedMode};
+use udc_bench::finetune_sim;
 use udc_telemetry::{EventKind, Labels, Telemetry};
 
+/// The committed E12 artifact (`exp_12_finetune` writes it through
+/// `report::export`, i.e. `Snapshot::to_json`).
+const EXP_12_ARTIFACT: &str = include_str!("../../../results/exp_12_finetune.json");
+
 #[test]
-fn subscribed_finetune_is_byte_identical_to_polling() {
-    let polled = finetune_sim::run(FeedMode::Polling, &[]);
-    let subscribed = finetune_sim::run(FeedMode::Subscribed, &[]);
-
-    // Same control decisions: allocations, violations, action counts.
-    assert_eq!(polled.modules.len(), subscribed.modules.len());
-    for (p, s) in polled.modules.iter().zip(&subscribed.modules) {
-        assert_eq!(p.name, s.name);
-        assert_eq!(
-            p.allocated, s.allocated,
-            "module {} diverged between feeds",
-            p.name
-        );
-    }
-    assert_eq!(polled.slo_violations, subscribed.slo_violations);
-    assert_eq!(polled.actions_issued, subscribed.actions_issued);
-
-    // Same artifact, byte for byte: the subscription path is observably
-    // the polling path — the EWMA values are the same f64s, so every
-    // Measurement field serializes identically.
-    assert_eq!(
-        polled.hub.snapshot().to_json(),
-        subscribed.hub.snapshot().to_json(),
-        "subscribed artifact must match the polling artifact byte for byte"
+fn finetune_loop_reproduces_committed_exp_12_artifact() {
+    let rule = finetune_sim::saturation_rule();
+    let out = finetune_sim::run(&[rule.as_str()]);
+    assert!(
+        out.hub.snapshot().to_json() == EXP_12_ARTIFACT,
+        "finetune_sim output must match results/exp_12_finetune.json byte for byte"
     );
 }
 
@@ -75,7 +59,7 @@ fn run_trial(i: usize) -> Telemetry {
 /// returns the full artifact JSON.
 fn chaos_style_artifact(threads: usize, trials: usize) -> String {
     let main = Telemetry::enabled();
-    let hubs = udc_actor::parallel::fan_out(threads, trials, run_trial);
+    let hubs = udc_bench::harness::fan_out(threads, trials, run_trial);
     // Absorption in trial order is the determinism contract: the thread
     // count decided who *computed* each hub, never the merge order.
     for hub in &hubs {

@@ -650,7 +650,6 @@ impl UdcCloud {
             }
         }
         self.dc.clock().advance(report.makespan_us);
-        self.dc.telemetry_mut().incr("runs", 1);
         report
     }
 
@@ -827,12 +826,15 @@ impl UdcCloud {
     }
 
     /// One round of §3.2 runtime fine-tuning over a live deployment:
-    /// samples each task module's usage (`observed_usage` maps module →
-    /// fraction of its allocation actually used), lets the tuner decide,
-    /// and applies resizes/migrations to the live allocations.
+    /// `observed_usage` maps module → its *smoothed* usage (fraction of
+    /// its allocation actually used), e.g. the latest value of a
+    /// per-module `udc_query` EWMA subscription. The tuner decides per
+    /// module and resizes/migrations are applied to the live
+    /// allocations; a module absent from the map is left untouched.
     ///
-    /// Returns the number of adjustments applied. Call repeatedly as
-    /// telemetry arrives; the EWMA smooths noisy samples.
+    /// Returns the number of adjustments applied. Smoothing is the
+    /// caller's query engine's job, so no usage state outlives the
+    /// deployment.
     pub fn autoscale(
         &mut self,
         dep: &mut Deployment,
@@ -840,36 +842,29 @@ impl UdcCloud {
         observed_usage: &BTreeMap<ModuleId, f64>,
     ) -> usize {
         let _span = self.obs.span("cloud.autoscale");
-        let now = self.dc.clock().now();
-        for (id, usage) in observed_usage {
-            self.dc
-                .telemetry_mut()
-                .sample_usage(id.as_str(), now, *usage);
-        }
         let mut applied = 0;
-        let ids: Vec<ModuleId> = dep.placement.modules.keys().cloned().collect();
-        for id in ids {
-            let (current_units, device, kind) = {
-                let p = &dep.placement.modules[&id];
-                (
-                    p.allocations[0].total_units(),
-                    p.primary_device,
-                    p.placed_kind,
-                )
+        for (id, &usage) in observed_usage {
+            let Some(p) = dep.placement.modules.get(id) else {
+                continue;
             };
+            let (current_units, device, kind) = (
+                p.allocations[0].total_units(),
+                p.primary_device,
+                p.placed_kind,
+            );
             let headroom = self
                 .dc
                 .pool(kind)
                 .and_then(|pool| pool.device(device))
                 .map(|d| d.free_for(&self.tenant))
                 .unwrap_or(0);
-            let action = tuner.evaluate(id.as_str(), self.dc.telemetry(), current_units, headroom);
+            let action = tuner.evaluate_usage(id.as_str(), usage, current_units, headroom);
             let Some(action) = action else { continue };
             let (action_name, action_units) = match &action {
                 udc_sched::TuneAction::Resize { to_units, .. } => ("resize", *to_units),
                 udc_sched::TuneAction::Migrate { units, .. } => ("migrate", *units),
             };
-            let p = dep.placement.modules.get_mut(&id).expect("module placed");
+            let p = dep.placement.modules.get_mut(id).expect("module placed");
             let result = match action {
                 udc_sched::TuneAction::Resize { to_units, .. } => {
                     self.scheduler.resize(&mut self.dc, p, to_units)
@@ -1322,6 +1317,50 @@ mod autoscale_tests {
         usage.insert(ModuleId::from("T"), 0.7f64);
         let applied = cloud.autoscale(&mut dep, &mut tuner, &usage);
         assert_eq!(applied, 0);
+        cloud.teardown(&mut dep);
+    }
+
+    #[test]
+    fn redeployed_module_starts_without_the_old_deployments_usage() {
+        let mut cloud = UdcCloud::new(CloudConfig::default());
+        let mut tuner = FineTuner::new(TunerConfig::default());
+        let mut dep = cloud.submit(&one_task(4)).unwrap();
+        let saturated = BTreeMap::from([(ModuleId::from("T"), 1.5f64)]);
+        for _ in 0..4 {
+            cloud.autoscale(&mut dep, &mut tuner, &saturated);
+        }
+        cloud.teardown(&mut dep);
+        // A fresh deployment reusing the module id, in band on its first
+        // round: nothing of the torn-down deployment's usage may leak in.
+        let mut fresh = cloud.submit(&one_task(4)).unwrap();
+        let in_band = BTreeMap::from([(ModuleId::from("T"), 0.7f64)]);
+        assert_eq!(cloud.autoscale(&mut fresh, &mut tuner, &in_band), 0);
+        let units = fresh.placement.modules[&ModuleId::from("T")].allocations[0].total_units();
+        assert_eq!(units, 4);
+        cloud.teardown(&mut fresh);
+    }
+
+    #[test]
+    fn module_absent_from_usage_map_untouched() {
+        let mut app = one_task(4);
+        app.add_task(
+            TaskSpec::new("U")
+                .with_resource(ResourceAspect::default().with_demand(ResourceKind::Cpu, 8)),
+        );
+        let mut cloud = UdcCloud::new(CloudConfig::default());
+        let mut dep = cloud.submit(&app).unwrap();
+        let mut tuner = FineTuner::new(TunerConfig::default());
+        let before = dep.placement.modules[&ModuleId::from("U")].clone();
+        // Only T is reported: it grows; U has no usage and must not move.
+        let usage = BTreeMap::from([(ModuleId::from("T"), 1.5f64)]);
+        assert_eq!(cloud.autoscale(&mut dep, &mut tuner, &usage), 1);
+        let after = &dep.placement.modules[&ModuleId::from("U")];
+        assert_eq!(after.primary_device, before.primary_device);
+        assert_eq!(
+            after.allocations[0].total_units(),
+            before.allocations[0].total_units()
+        );
+        assert_eq!(tuner.actions_issued, 1);
         cloud.teardown(&mut dep);
     }
 }

@@ -17,9 +17,8 @@
 //!   exact-fit allocation and utilization accounting;
 //! - [`fabric::Fabric`] — rack-aware network latency/bandwidth model;
 //! - [`cluster::Datacenter`] — pools + fabric + clock, the object the
-//!   scheduler (`udc-sched`) places modules onto;
-//! - [`telemetry::Telemetry`] — counters and utilization sampling that
-//!   drive §3.2's runtime fine-tuning;
+//!   scheduler (`udc-sched`) places modules onto; its counters, events
+//!   and spans go to one `udc-telemetry` hub ([`Datacenter::set_observer`]);
 //! - [`failure::FailurePlan`] — deterministic device-crash injection for
 //!   §3.4's failure-handling experiments.
 //!
@@ -33,7 +32,6 @@ pub mod fabric;
 pub mod failure;
 pub mod linear;
 pub mod pool;
-pub mod telemetry;
 
 pub use clock::SimClock;
 pub use cluster::{Datacenter, DatacenterConfig, PoolConfig, TickReport};
@@ -41,4 +39,3 @@ pub use device::{Device, DeviceId, DeviceState, PerfProfile};
 pub use fabric::{Fabric, FabricConfig, Location};
 pub use failure::{FailureEvent, FailurePlan};
 pub use pool::{AllocConstraints, AllocError, Allocation, ResourcePool, Slice};
-pub use telemetry::{Telemetry, UtilizationSample};

@@ -10,8 +10,8 @@
 //!
 //! - **counters** — the increment since the previous poll, stamped at
 //!   the barrier time `now` (barrier-granularity attribution);
-//! - **gauges** — the current value, sampled every poll (this is what
-//!   polling control loops see, so subscriptions replicate it);
+//! - **gauges** — the current value, sampled every poll (one sample
+//!   per barrier, the signal gauge-sourced control loops smooth);
 //! - **histograms** — the bucket-delta since the previous poll
 //!   ([`Histogram::diff`]), exact for count/sum/buckets;
 //! - **events / decisions** — every record not yet consumed (tracked

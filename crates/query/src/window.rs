@@ -72,10 +72,10 @@ impl WindowSpec {
 /// All of these are deterministic folds. `Count`/`Sum`/`Rate`/`Mean`/
 /// `Max`/`Quantile` are order-insensitive over integer-valued inputs
 /// (the proptests pin this down under shard-merge permutations);
-/// `Ewma` is deliberately order-*sensitive* — it replicates the
-/// exponentially-weighted estimator control loops poll (see
-/// `udc_hal::telemetry::UsageEstimator`) and so folds samples in
-/// ingestion order, carrying its estimate across windows.
+/// `Ewma` is deliberately order-*sensitive* — it is the smoothed usage
+/// the fine-tuning loop feeds `FineTuner::evaluate_usage` — and so
+/// folds samples in ingestion order, carrying its estimate across
+/// windows.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Aggregation {
     /// Number of observations in the window.

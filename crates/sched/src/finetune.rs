@@ -11,7 +11,6 @@
 //! on a full device → migrate.
 
 use serde::{Deserialize, Serialize};
-use udc_hal::Telemetry;
 
 /// Tuner parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -81,28 +80,13 @@ impl FineTuner {
         }
     }
 
-    /// Evaluates one module: given its smoothed usage estimate from
-    /// telemetry and its current allocation, recommend an action (or
-    /// nothing when inside the band).
+    /// Evaluates one module: given its smoothed usage (the caller's
+    /// query engine does the smoothing, e.g. an EWMA aggregation over a
+    /// per-module usage gauge) and its current allocation, recommend an
+    /// action (or nothing when inside the band).
     ///
     /// `device_headroom` is the free capacity on the hosting device; a
     /// grow that exceeds it becomes a migration.
-    pub fn evaluate(
-        &mut self,
-        module: &str,
-        telemetry: &Telemetry,
-        current_units: u64,
-        device_headroom: u64,
-    ) -> Option<TuneAction> {
-        let usage = telemetry.usage_estimate(module)?;
-        self.evaluate_usage(module, usage, current_units, device_headroom)
-    }
-
-    /// The policy core behind [`FineTuner::evaluate`], taking the
-    /// smoothed usage directly instead of reading the HAL estimator —
-    /// this is the entry point for subscription-driven control loops
-    /// that receive the smoothed value from a query engine (an EWMA
-    /// aggregation reproduces the estimator's smoothing exactly).
     pub fn evaluate_usage(
         &mut self,
         module: &str,
@@ -150,19 +134,10 @@ impl FineTuner {
 mod tests {
     use super::*;
 
-    fn telemetry_with(module: &str, samples: &[f64]) -> Telemetry {
-        let mut t = Telemetry::new();
-        for (i, &s) in samples.iter().enumerate() {
-            t.sample_usage(module, i as u64, s);
-        }
-        t
-    }
-
     #[test]
     fn overloaded_module_grows() {
-        let t = telemetry_with("A1", &[0.95; 20]);
         let mut tuner = FineTuner::new(TunerConfig::default());
-        let action = tuner.evaluate("A1", &t, 4, 100).unwrap();
+        let action = tuner.evaluate_usage("A1", 0.95, 4, 100).unwrap();
         match action {
             TuneAction::Resize {
                 from_units: 4,
@@ -175,9 +150,8 @@ mod tests {
 
     #[test]
     fn idle_module_shrinks() {
-        let t = telemetry_with("A1", &[0.1; 20]);
         let mut tuner = FineTuner::new(TunerConfig::default());
-        let action = tuner.evaluate("A1", &t, 8, 100).unwrap();
+        let action = tuner.evaluate_usage("A1", 0.1, 8, 100).unwrap();
         match action {
             TuneAction::Resize {
                 from_units: 8,
@@ -190,33 +164,23 @@ mod tests {
 
     #[test]
     fn in_band_module_untouched() {
-        let t = telemetry_with("A1", &[0.7; 20]);
         let mut tuner = FineTuner::new(TunerConfig::default());
-        assert!(tuner.evaluate("A1", &t, 4, 100).is_none());
+        assert!(tuner.evaluate_usage("A1", 0.7, 4, 100).is_none());
         assert_eq!(tuner.actions_issued, 0);
     }
 
     #[test]
     fn saturated_on_full_device_migrates() {
-        let t = telemetry_with("A1", &[1.2; 20]);
         let mut tuner = FineTuner::new(TunerConfig::default());
-        let action = tuner.evaluate("A1", &t, 4, 0).unwrap();
+        let action = tuner.evaluate_usage("A1", 1.2, 4, 0).unwrap();
         assert!(matches!(action, TuneAction::Migrate { units, .. } if units > 4));
         assert!(tuner.slo_violations > 0);
     }
 
     #[test]
     fn never_shrinks_below_minimum() {
-        let t = telemetry_with("A1", &[0.01; 20]);
         let mut tuner = FineTuner::new(TunerConfig::default());
-        assert!(tuner.evaluate("A1", &t, 1, 100).is_none());
-    }
-
-    #[test]
-    fn unsampled_module_untouched() {
-        let t = Telemetry::new();
-        let mut tuner = FineTuner::new(TunerConfig::default());
-        assert!(tuner.evaluate("ghost", &t, 4, 100).is_none());
+        assert!(tuner.evaluate_usage("A1", 0.01, 1, 100).is_none());
     }
 
     #[test]
@@ -229,8 +193,7 @@ mod tests {
         let mut tuner = FineTuner::new(TunerConfig::default());
         for round in 0..20 {
             let usage = need / units as f64;
-            let t = telemetry_with("A1", &[usage; 10]);
-            match tuner.evaluate("A1", &t, units, 1000) {
+            match tuner.evaluate_usage("A1", usage, units, 1000) {
                 Some(TuneAction::Resize { to_units, .. }) => units = to_units,
                 Some(TuneAction::Migrate { units: u, .. }) => units = u,
                 None => {
